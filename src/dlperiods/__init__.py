@@ -1,18 +1,18 @@
-"""Exact Deligne-Lusztig character values and spherical periods for small
-GL_n and U_n over finite fields.
+"""Exact Deligne-Lusztig character values for small GL_n and U_n over finite
+fields, the terms of their spherical periods.
 
 Everything is computed in exact arithmetic: finite-field towers, cyclotomic
-character values, integer Green polynomials, and integer periods checked two
-independent ways (group summation vs. closed formulas).
+character values, integer Green polynomials and Deligne-Lusztig values
+R_{T,theta}(g), checked against brute-force oracles.  Periods are not
+computed yet; ROADMAP.md (Open item 5) plans them.
 """
 
 from .cyclotomic import Cyclotomic, cyclo
-from .ffield import FieldElem, FieldSpec, make_field
+from .ffield import FieldSpec, make_field
 
 __all__ = [
     "Cyclotomic",
     "cyclo",
-    "FieldElem",
     "FieldSpec",
     "make_field",
 ]

@@ -50,7 +50,7 @@ def _reduce_mod_phi(coeffs, n):
     """Reduce a coefficient list (powers of zeta_n) mod Phi_n; returns length-phi(n) tuple."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    _, rem = intpoly.divmod_exact(tuple(coeffs), phi)
+    _, rem = intpoly.divmod(tuple(coeffs), phi)
     out = [Fraction(0)] * deg
     for i, c in enumerate(rem):
         out[i] = Fraction(c)

@@ -28,6 +28,7 @@ from .groups import (
     centralizer_type,
     eigenspace_basis,
     factor_entry_degree,
+    jordan_partition,
 )
 from .tori import TorusCharacter, TorusInstance, TorusLevel
 
@@ -104,17 +105,7 @@ class DLEngine:
                             c = ops.sub(c, t[b][j])
                         row[a * n + b] = c
                 rows.append(tuple(row))
-        basis = mx.kernel_basis(ops, rows)
-        Q = G.field.q
-        for code in range(1, Q ** len(basis)):
-            coeffs, c = [], code
-            for _ in range(len(basis)):
-                coeffs.append(c % Q)
-                c //= Q
-            flat = [0] * (n * n)
-            for cf, b in zip(coeffs, basis):
-                if cf:
-                    flat = [ops.add(x, ops.mul(cf, y)) for x, y in zip(flat, b)]
+        for flat in mx.nonzero_span(ops, mx.kernel_basis(ops, rows)):
             x = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
             if not mx.is_invertible(ops, x):
                 continue
@@ -197,28 +188,7 @@ class DLEngine:
     def _jordan_in_factor(self, ut, basis, deg, m):
         ops = self.G.ops
         r = mx.restrict_to_subspace(ops, ut, basis)
-        dim = len(basis)
-        d = mx.mat_sub(ops, r, mx.mat_id(dim))
-        ranks = [dim]
-        acc = mx.mat_id(dim)
-        for _ in range(m):
-            acc = mx.mat_mul(ops, acc, d)
-            ranks.append(mx.mat_rank(ops, acc))
-        assert ranks[m] == 0, "unipotent part not nilpotent on the factor"
-        franks = []
-        for rk in ranks:
-            assert rk % deg == 0, "rank not divisible by the factor field degree"
-            franks.append(rk // deg)
-        parts = []
-        for k in range(1, m + 1):
-            nxt = franks[k + 1] if k < m else 0
-            count = franks[k - 1] - 2 * franks[k] + nxt
-            parts.extend([k] * count)
-        assert sum(parts) == m
-        return tuple(sorted(parts, reverse=True))
-
-    def nbar_count(self, s) -> int:
-        return len(self.torus_matches(s))
+        return jordan_partition(ops, mx.mat_sub(ops, r, mx.mat_id(len(basis))), m, deg)
 
     def value(self, chi: TorusCharacter, g) -> Cyclotomic:
         """R_{T, chi o N^nu}(g) at this level, exact."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import intpoly
 from .errors import SizeCapError, UnsupportedError
 
 FIELD_SIZE_CAP = 2**24
@@ -47,55 +48,29 @@ def factorize(n: int) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# polynomials over GF(p), dense int tuples, constant term first
+class PrimeField:
+    """GF(p) as an intpoly coefficient ring on the residues 0..p-1.
 
+    It builds the moduli and the exp/log tables, so it cannot be a FieldOps.
+    """
 
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    def __init__(self, p: int):
+        self.p = p
 
+    def add(self, a, b):
+        return (a + b) % self.p
 
-def _pmulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _prem(out, mod, p)
+    def sub(self, a, b):
+        return (a - b) % self.p
 
+    def neg(self, a):
+        return -a % self.p
 
-def _prem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    while len(_ptrim(a)) - 1 >= dm:
-        a = list(_ptrim(a))
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, y in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * y) % p
-    return _ptrim(a)
+    def mul(self, a, b):
+        return a * b % self.p
 
-
-def _ppowmod(a, e, mod, p):
-    result = (1,)
-    base = _prem(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _prem(a, b, p)
-    return a
+    def inv(self, a):
+        return pow(a, -1, self.p)
 
 
 def _is_irreducible(mod, p):
@@ -104,21 +79,16 @@ def _is_irreducible(mod, p):
     k = len(mod) - 1
     if k == 1:
         return True
+    ring = PrimeField(p)
     x = (0, 1)
-    xq = _ppowmod(x, p**k, mod, p)
-    if _ptrim(_psub(xq, x, p)) != ():
+    if intpoly.sub(intpoly.powmod(x, p**k, mod, ring), x, ring):
         return False
     for t in factorize(k):
         d = k // t
-        g = _pgcd(_psub(_ppowmod(x, p**d, mod, p), x, p), mod, p)
+        g = intpoly.gcd(intpoly.sub(intpoly.powmod(x, p**d, mod, ring), x, ring), mod, ring)
         if len(g) - 1 != 0:
             return False
     return True
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +131,6 @@ def make_field(p: int, k: int) -> FieldSpec:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    spec: FieldSpec
-    val: int
-
-    def coeffs(self):
-        c, v = [], self.val
-        for _ in range(self.spec.k):
-            c.append(v % self.spec.p)
-            v //= self.spec.p
-        return tuple(c)
-
-    def __repr__(self):
-        return f"{self.spec}:{self.val}"
-
-
 class FieldOps:
     """Computational engine for one FieldSpec; operates on int-encoded elements."""
 
@@ -186,6 +140,7 @@ class FieldOps:
         self.k = spec.k
         self.q = spec.q
         self._mod = spec.modulus
+        self._prime = PrimeField(spec.p)
         self.exp = None
         self.log = None
         self.generator = None
@@ -198,7 +153,7 @@ class FieldOps:
         for _ in range(self.k):
             c.append(a % p)
             a //= p
-        return _ptrim(c)
+        return intpoly.trim(c)
 
     def _encode(self, poly):
         v = 0
@@ -207,7 +162,8 @@ class FieldOps:
         return v
 
     def _raw_mul(self, a, b):
-        return self._encode(_pmulmod(self._decode(a), self._decode(b), self._mod, self.p))
+        prod = intpoly.mul(self._decode(a), self._decode(b), self._prime)
+        return self._encode(intpoly.divmod(prod, self._mod, self._prime)[1])
 
     def _build_tables(self):
         qm1 = self.q - 1
@@ -227,13 +183,7 @@ class FieldOps:
         self.exp, self.log, self.generator = exp, log, g
 
     def _raw_pow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
+        return self._encode(intpoly.powmod(self._decode(a), e, self._mod, self._prime))
 
     # -- public int ops ------------------------------------------------------------
     def add(self, a, b):
@@ -332,51 +282,6 @@ def ops_for(spec: FieldSpec) -> FieldOps:
     return FieldOps(spec)
 
 
-# ---------------------------------------------------------------------------
-# spec-level operation surface
-
-
-def arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    if op not in ("add", "mul", "inv", "pow"):
-        raise UnsupportedError(f"unknown op {op!r}")
-    if op == "inv":
-        return FieldElem(a.spec, ops_for(a.spec).inv(a.val))
-    if op == "pow":
-        return FieldElem(a.spec, ops_for(a.spec).pow(a.val, b if isinstance(b, int) else b.val))
-    if a.spec != b.spec:
-        raise UnsupportedError(f"field mismatch: {a.spec} vs {b.spec}")
-    f = ops_for(a.spec)
-    return FieldElem(a.spec, f.add(a.val, b.val) if op == "add" else f.mul(a.val, b.val))
-
-
-def frobenius(a: FieldElem, base_power: int) -> FieldElem:
-    """a -> a^base_power where base_power = p^m, m | k; an automorphism fixing GF(base_power)."""
-    spec = a.spec
-    m = 0
-    bp = base_power
-    while bp % spec.p == 0 and bp > 1:
-        bp //= spec.p
-        m += 1
-    if bp != 1 or m == 0 or spec.k % m != 0:
-        raise UnsupportedError(f"base power {base_power} is not p^m with m | k for {spec}")
-    return FieldElem(spec, ops_for(spec).pow(a.val, base_power))
-
-
-def norm_down(a: FieldElem, sub_q: int, deg: int) -> FieldElem:
-    """Norm a * a^sub_q * ... * a^{sub_q^(deg-1)}; lands in the sub_q-element subfield."""
-    spec = a.spec
-    if sub_q**deg != spec.q:
-        raise UnsupportedError(f"degree mismatch: {sub_q}^{deg} != {spec.q}")
-    f = ops_for(spec)
-    out, power = 1, 1
-    for _ in range(deg):
-        out = f.mul(out, f.pow(a.val, power))
-        power *= sub_q
-    res = FieldElem(spec, out)
-    assert f.pow(out, sub_q) == out, "norm image not in subfield"
-    return res
-
-
 @lru_cache(maxsize=None)
 def embedding(sub: FieldSpec, sup: FieldSpec):
     """Entry map GF(p^k1) -> GF(p^k2), k1 | k2: the least root of sub's modulus.
@@ -388,14 +293,7 @@ def embedding(sub: FieldSpec, sup: FieldSpec):
     if sub == sup:
         return tuple(range(sub.q))
     f = ops_for(sup)
-    root = None
-    for cand in range(sup.q):
-        acc = 0
-        for c in reversed(sub.modulus):
-            acc = f.add(f.mul(acc, cand), c % sub.p)
-        if acc == 0:
-            root = cand
-            break
+    root = next((cand for cand in range(sup.q) if intpoly.evaluate(sub.modulus, cand, f) == 0), None)
     assert root is not None, "modulus has no root in the extension"
     images = []
     for v in range(sub.q):

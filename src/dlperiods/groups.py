@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
+from . import intpoly
 from . import matrixops as mx
 from .errors import SizeCapError, UnsupportedError
-from .ffield import factorize, is_prime, make_field, ops_for
+from .ffield import factorize, make_field, ops_for
 
 ENUM_CAP = 10**7
 GL_FILTER_CAP = 2**22
@@ -111,9 +111,11 @@ class Group:
         """Conjugate transpose sigma(g)^T (U only meaningful)."""
         return mx.transpose(mx.entrywise_pow(self.ops, g, self.q))
 
-    def frobenius(self, g):
-        """The group Frobenius: entrywise q-power for GL, form-twisted for U."""
-        sig = mx.entrywise_pow(self.ops, g, self.q)
+    def frobenius(self, g, q=None):
+        """The q-Frobenius (default: the group's own q): entrywise q-power for
+        GL, form-twisted for U.  A smaller q gives a root of the group's
+        Frobenius, as on the torus levels."""
+        sig = mx.entrywise_pow(self.ops, g, q or self.q)
         if self.spec.family == "GL":
             return sig
         return mx.transpose(mx.mat_inv(self.ops, sig))
@@ -142,15 +144,12 @@ class Group:
             self._index = {self.key(g): i for i, g in enumerate(self.elements())}
         return self._index
 
-    def contains(self, g) -> bool:
-        return self.key(g) in self.index()
-
     def _enumerate_gl(self):
         n, Q = self.n, self.field.q
         if Q ** (n * n) > GL_FILTER_CAP:
             raise SizeCapError(f"GL enumeration space {Q}^{n * n} too large")
         out = []
-        rows_all = self._all_vectors(n)
+        rows_all = list(mx.nonzero_span(self.ops, self.identity))
         # build row by row, keeping partial rank full
         def rec(rows):
             if len(rows) == n:
@@ -164,22 +163,10 @@ class Group:
         rec([])
         return out
 
-    def _all_vectors(self, n):
-        Q = self.field.q
-        vecs = []
-        for code in range(Q**n):
-            v, c = [], code
-            for _ in range(n):
-                v.append(c % Q)
-                c //= Q
-            vecs.append(tuple(v))
-        return vecs
-
     def _enumerate_u(self):
         """Backtracking over orthonormal columns for the identity Hermitian form."""
         n = self.n
         ops = self.ops
-        vecs = self._all_vectors(n)
 
         def herm(x, y):
             acc = 0
@@ -197,17 +184,10 @@ class Group:
                 return
             if cols:
                 rows = [tuple(ops.pow(c, self.q) for c in col) for col in cols]
-                cands = []
                 basis = mx.kernel_basis(ops, rows)
-                for coeffs in self._all_vectors(len(basis)) if basis else []:
-                    v = tuple(0 for _ in range(n))
-                    for c, b in zip(coeffs, basis):
-                        if c:
-                            v = tuple(ops.add(x, ops.mul(c, y)) for x, y in zip(v, b))
-                    cands.append(v)
             else:
-                cands = vecs
-            for v in cands:
+                basis = self.identity
+            for v in mx.nonzero_span(ops, basis):
                 if herm(v, v) == 1:
                     rec(cols + [v])
 
@@ -258,25 +238,7 @@ class Group:
 
     def jordan_type(self, u):
         """Partition of n from ranks of (u-1)^k."""
-        d = mx.mat_sub(self.ops, u, self.identity)
-        ranks = [self.n]
-        acc = mx.mat_id(self.n)
-        for _ in range(self.n):
-            acc = self.mul(acc, d)
-            ranks.append(mx.mat_rank(self.ops, acc))
-        parts = []
-        for k in range(1, self.n + 1):
-            count = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] if k < self.n else ranks[k - 1] - 2 * ranks[k]
-            parts.extend([k] * count)
-        assert sum(parts) == self.n, "not unipotent"
-        return tuple(sorted(parts, reverse=True))
-
-    def centralizer(self, s):
-        out = []
-        for x in self.elements():
-            if self.mul(x, s) == self.mul(s, x):
-                out.append(x)
-        return tuple(out)
+        return jordan_partition(self.ops, mx.mat_sub(self.ops, u, self.identity), self.n)
 
     def generators(self):
         if self._gens is None:
@@ -343,6 +305,26 @@ class Group:
         return self._classes[1][self.key(g)]
 
 
+def jordan_partition(ops, d, m: int, deg: int = 1):
+    """Jordan type of the unipotent 1 + d, a partition of m, from the ranks
+    of the powers of the nilpotent d counted in units of deg (the degree of
+    the factor field over the matrix entry field)."""
+    dim = len(d)
+    ranks = [dim]
+    acc = mx.mat_id(dim)
+    for _ in range(m):
+        acc = mx.mat_mul(ops, acc, d)
+        ranks.append(mx.mat_rank(ops, acc))
+    assert ranks[m] == 0, "not unipotent"
+    assert all(rk % deg == 0 for rk in ranks), "rank not divisible by the factor field degree"
+    franks = [rk // deg for rk in ranks] + [0]
+    parts = []
+    for k in range(m, 0, -1):
+        parts.extend([k] * (franks[k - 1] - 2 * franks[k] + franks[k + 1]))
+    assert sum(parts) == m
+    return tuple(parts)
+
+
 @lru_cache(maxsize=None)
 def group(spec: GroupSpec) -> Group:
     return Group(spec)
@@ -393,10 +375,6 @@ class ProductGroup:
         return tuple(s for s, _ in parts), tuple(u for _, u in parts)
 
 
-def group_for(spec):
-    return ProductGroup(spec) if isinstance(spec, ProductSpec) else group(spec)
-
-
 # ---------------------------------------------------------------------------
 # semisimple centralizer types
 
@@ -429,8 +407,7 @@ class CentralizerType:
 
 def _tau_poly(ops, f, q):
     """Roots mu -> mu^{-q}: reverse, normalize monic, raise coefficients to q."""
-    rev = tuple(reversed(f))
-    rev = mx.fp_monic(ops, rev)
+    rev = intpoly.monic(tuple(reversed(f)), ops)
     return tuple(ops.pow(c, q) for c in rev)
 
 
@@ -478,7 +455,7 @@ def eigenspace_basis(G: Group, s, factor: CentralizerFactor):
     used: the unipotent parts act with equal Jordan type on both halves.
     """
     f = factor.orbit_key[0]
-    M = mx.fp_eval_matrix(G.ops, f, s)
+    M = mx.poly_at_matrix(G.ops, f, s)
     return mx.kernel_basis(G.ops, M)
 
 
@@ -487,38 +464,3 @@ def factor_entry_degree(G: Group, factor: CentralizerFactor) -> int:
     if G.spec.family == "GL":
         return factor.d
     return factor.d if factor.family == "U" else factor.d // 2
-
-
-# ---------------------------------------------------------------------------
-# scans
-
-
-def nset(G, s, torus_keys):
-    """All x in G^F with x^-1 s x in T^F, plus left-coset count data.
-
-    Returns (members, centralizer_elements, coset_reps).
-    """
-    members = []
-    for x in G.elements():
-        if G.key(G.conj(s, x)) in torus_keys:
-            members.append(x)
-    cent = G.centralizer(s) if members else ()
-    reps, used = [], set()
-    for x in members:
-        kx = G.key(x)
-        if kx in used:
-            continue
-        reps.append(x)
-        for z in cent:
-            used.add(G.key(G.mul(z, x)))
-    if members:
-        assert len(members) == len(reps) * len(cent), "coset decomposition mismatch"
-    return members, cent, reps
-
-
-def conjugate_into(G, g, target_keys):
-    """Some x in G^F with x^-1 g x in the target set, or None."""
-    for x in G.elements():
-        if G.key(G.conj(g, x)) in target_keys:
-            return x
-    return None

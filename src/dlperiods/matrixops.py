@@ -1,9 +1,10 @@
-"""Matrix and polynomial arithmetic over a finite field.
+"""Matrix arithmetic over a finite field.
 
 Matrices are tuples of row tuples of int-encoded field elements and are
 always paired with the FieldOps of their entry field.  Sizes stay tiny
 (n <= 4 per group factor) so everything is direct: Leibniz determinants,
-Gauss-Jordan inverses, exhaustive polynomial factor sieves.
+Gauss-Jordan inverses, exhaustive polynomial factor sieves.  Polynomials
+over the field are `intpoly` tuples with the FieldOps as their ring.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, product
 
+from . import intpoly
 from .errors import SizeCapError
 from .ffield import FieldOps, FieldSpec, ops_for
 
@@ -148,13 +150,14 @@ def restrict_to_subspace(ops: FieldOps, A, basis):
     M = [list(b) for b in basis]  # rows = basis vectors
     sol_rows = []
     for img in cols:
-        coeffs = _solve_in_span(ops, M, img)
+        coeffs = solve_in_span(ops, M, img)
         sol_rows.append(coeffs)
     # sol_rows[j] = coordinates of A*basis_j; matrix columns are images
     return tuple(zip(*sol_rows))
 
 
-def _solve_in_span(ops: FieldOps, basis_rows, target):
+def solve_in_span(ops: FieldOps, basis_rows, target):
+    """Coordinates of target in the basis (rows); ValueError if it lies outside the span."""
     aug = [list(row) + [t] for row, t in zip(zip(*basis_rows), target)]
     rows = [list(r) for r in aug]
     ncols = len(basis_rows)
@@ -167,73 +170,30 @@ def _solve_in_span(ops: FieldOps, basis_rows, target):
     return tuple(sol)
 
 
+def nonzero_span(ops: FieldOps, basis):
+    """Every nonzero F_Q-combination of the basis vectors, in code order.
+
+    The coefficients of code = 1, 2, ..., Q^len(basis) - 1 are its base-Q
+    digits, the first basis vector least significant.
+    """
+    Q = ops.q
+    add, mul = ops.add, ops.mul
+    zero = (0,) * len(basis[0]) if basis else ()
+    for code in range(1, Q ** len(basis)):
+        v, rest = zero, code
+        for b in basis:
+            rest, c = divmod(rest, Q)
+            if c:
+                v = tuple(add(x, mul(c, y)) for x, y in zip(v, b))
+        yield v
+
+
 # ---------------------------------------------------------------------------
-# polynomials with coefficients in a finite field (int-encoded, constant first)
+# polynomials with coefficients in the field (intpoly tuples, ring = FieldOps)
 
 
-def fp_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def fp_add(ops, a, b):
-    n = max(len(a), len(b))
-    return fp_trim(tuple(ops.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)))
-
-
-def fp_sub(ops, a, b):
-    n = max(len(a), len(b))
-    return fp_trim(tuple(ops.sub(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)))
-
-
-def fp_mul(ops, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = ops.add(out[i + j], ops.mul(x, y))
-    return fp_trim(out)
-
-
-def fp_divmod(ops, a, b):
-    b = fp_trim(b)
-    if not b:
-        raise ZeroDivisionError
-    a = list(fp_trim(a))
-    db = len(b) - 1
-    inv_lead = ops.inv(b[-1])
-    quo = [0] * max(len(a) - db, 0)
-    while len(fp_trim(a)) - 1 >= db and fp_trim(a):
-        a = list(fp_trim(a))
-        c = ops.mul(a[-1], inv_lead)
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] = ops.sub(a[shift + i], ops.mul(c, y))
-    return fp_trim(quo), fp_trim(a)
-
-
-def fp_monic(ops, a):
-    a = fp_trim(a)
-    if not a or a[-1] == 1:
-        return a
-    inv = ops.inv(a[-1])
-    return tuple(ops.mul(inv, c) for c in a)
-
-
-def fp_eval(ops, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = ops.add(ops.mul(acc, x), c)
-    return acc
-
-
-def fp_eval_matrix(ops, a, M):
+def poly_at_matrix(ops: FieldOps, a, M):
+    """a(M) by Horner's rule."""
     n = len(M)
     acc = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     for c in reversed(a):
@@ -253,10 +213,10 @@ def charpoly(ops: FieldOps, A):
         for i in range(n):
             j = perm[i]
             entry = (ops.neg(A[i][j]), 1) if i == j else (ops.neg(A[i][j]),)
-            term = fp_mul(ops, term, fp_trim(entry))
+            term = intpoly.mul(term, intpoly.trim(entry), ops)
         if sign_swaps:
-            term = tuple(ops.neg(c) for c in term)
-        total = fp_add(ops, total, term)
+            term = intpoly.neg(term, ops)
+        total = intpoly.add(total, term, ops)
     return total
 
 
@@ -286,7 +246,7 @@ def monic_irreducibles(spec: FieldSpec, d: int):
     out = []
     for tail in product(range(spec.q), repeat=d):
         f = tuple(tail) + (1,)
-        if any(not fp_divmod(ops, f, g)[1] for g in smaller if len(g) - 1 <= d // 2):
+        if any(not intpoly.divmod(f, g, ops)[1] for g in smaller if len(g) - 1 <= d // 2):
             continue
         out.append(f)
     return tuple(out)
@@ -294,7 +254,7 @@ def monic_irreducibles(spec: FieldSpec, d: int):
 
 def factor_poly(ops: FieldOps, f):
     """Factor into monic irreducibles by trial division; [(irred, multiplicity)]."""
-    f = fp_monic(ops, f)
+    f = intpoly.monic(f, ops)
     out = []
     d = 1
     while len(f) - 1 > 0:
@@ -305,7 +265,7 @@ def factor_poly(ops: FieldOps, f):
         for g in monic_irreducibles(ops.spec, d):
             mult = 0
             while True:
-                q, r = fp_divmod(ops, f, g)
+                q, r = intpoly.divmod(f, g, ops)
                 if r:
                     break
                 f, mult = q, mult + 1

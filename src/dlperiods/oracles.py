@@ -6,7 +6,9 @@ with coefficients solved from the symmetric-group side (Kostka numbers are
 recounted as raw tableau counts).  For U_2 the two torus characters come
 from fixed isotropic-line counts: Ind_B(1) for the quasi-split torus and
 2*triv - Ind_B(1) for the anisotropic one.  U_3's quasi-split column is
-again an isotropic-line count.
+again an isotropic-line count.  The brute-force scans over G^F that tests
+compare the library against (centralizers, transporters into a torus)
+live here too.
 """
 
 from __future__ import annotations
@@ -111,12 +113,7 @@ def isotropic_lines(G: Group):
     n, q = G.n, G.q
     lines = []
     seen = set()
-    for code in range(1, G.field.q**n):
-        v, c = [], code
-        for _ in range(n):
-            v.append(c % G.field.q)
-            c //= G.field.q
-        v = tuple(v)
+    for v in mx.nonzero_span(ops, G.identity):
         # normalize: first nonzero entry 1
         lead = next(i for i in range(n) if v[i])
         if v[lead] != 1:
@@ -168,3 +165,43 @@ def u2_rti_class_values(q: int, rho: tuple):
         return ind
     assert rho == (1, 1)
     return {cid: 2 - v for cid, v in ind.items()}
+
+
+# ---------------------------------------------------------------------------
+# scans over G^F
+
+
+def centralizer(G: Group, s):
+    """All x in G^F commuting with s."""
+    return tuple(x for x in G.elements() if G.mul(x, s) == G.mul(s, x))
+
+
+def nset(G: Group, s, torus_keys):
+    """All x in G^F with x^-1 s x in T^F, plus left-coset count data.
+
+    Returns (members, centralizer_elements, coset_reps).
+    """
+    members = []
+    for x in G.elements():
+        if G.key(G.conj(s, x)) in torus_keys:
+            members.append(x)
+    cent = centralizer(G, s) if members else ()
+    reps, used = [], set()
+    for x in members:
+        kx = G.key(x)
+        if kx in used:
+            continue
+        reps.append(x)
+        for z in cent:
+            used.add(G.key(G.mul(z, x)))
+    if members:
+        assert len(members) == len(reps) * len(cent), "coset decomposition mismatch"
+    return members, cent, reps
+
+
+def conjugate_into(G: Group, g, target_keys):
+    """Some x in G^F with x^-1 g x in the target set, or None."""
+    for x in G.elements():
+        if G.key(G.conj(g, x)) in target_keys:
+            return x
+    return None

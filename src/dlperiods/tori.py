@@ -128,18 +128,12 @@ def _solve_subfield_combination(L, sub, emb, targets, powers):
         for b in range(sub.k):
             cols.append(_gfp_digits(Lops.mul(emb[p**b], d), p, L.k))
     gfp = ops_for(make_field(p, 1))
-    rows = [tuple(col[i] for col in cols) for i in range(L.k)]
     out = []
     for t in targets:
-        tgt = _gfp_digits(t, p, L.k)
-        aug = [row + (tv,) for row, tv in zip(rows, tgt)]
-        reduced, pivots = mx._rref(gfp, aug)
-        ncols = len(cols)
-        if any(pc == ncols for pc in pivots):
-            raise IntegrityError("element not in subfield span")
-        sol = [0] * ncols
-        for r, pc in enumerate(pivots):
-            sol[pc] = reduced[r][ncols]
+        try:
+            sol = mx.solve_in_span(gfp, cols, _gfp_digits(t, p, L.k))
+        except ValueError:
+            raise IntegrityError("element not in subfield span") from None
         coeffs = []
         for i in range(len(powers)):
             v = 0
@@ -238,14 +232,15 @@ def _u_odd_block(G: Group, lam: int):
     comp = tuple(
         tuple(coeffs[i] if j == lam - 1 else (1 if i == j + 1 else 0) for j in range(lam)) for i in range(lam)
     )
-    # Gram of h(x, y) = Tr_{L/K}(x * y^{q^lam}) in the delta-power basis
+    # Gram of h(x, y) = Tr_{L/K}(x^{q^lam} * y) in the delta-power basis,
+    # semilinear in the first argument as _hermitian_gram_schmidt reads it
     emb_inv = {v: i for i, v in enumerate(emb)}
     qq = q * q
     gram = []
     for i in range(lam):
         row = []
         for j in range(lam):
-            z = Lops.mul(powers[i], Lops.pow(powers[j], q**lam))
+            z = Lops.mul(Lops.pow(powers[i], q**lam), powers[j])
             tr = 0
             for t in range(lam):
                 tr = Lops.add(tr, Lops.pow(z, qq**t))
@@ -306,18 +301,9 @@ def _hermitian_gram_schmidt(G: Group, J):
         for v in basis:
             vq = tuple(ops.pow(x, q) for x in v)
             crows.append(tuple(mx.mat_vec(ops, mx.transpose(J), vq)))
-        comp = mx.kernel_basis(ops, crows) if crows else [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+        comp = mx.kernel_basis(ops, crows) if crows else G.identity
         found = None
-        Q = G.field.q
-        for code in range(1, Q ** len(comp)):
-            coeffs, c = [], code
-            for _ in range(len(comp)):
-                coeffs.append(c % Q)
-                c //= Q
-            v = tuple(0 for _ in range(n))
-            for cf, b in zip(coeffs, comp):
-                if cf:
-                    v = tuple(ops.add(x, ops.mul(cf, y)) for x, y in zip(v, b))
+        for v in mx.nonzero_span(ops, comp):
             nv = phi(v, v)
             if nv != 0:
                 found = (v, nv)
@@ -548,17 +534,9 @@ class TorusLevel:
             raise SizeCapError(f"level-{nu} torus enumeration space {Q}^{len(basis)} too large")
         ops = G.ops
         elements = []
-        for code in range(1, Q ** len(basis)):
-            coeffs, c = [], code
-            for _ in range(len(basis)):
-                coeffs.append(c % Q)
-                c //= Q
-            m = None
-            for cf, bm in zip(coeffs, basis):
-                if cf:
-                    t = mx.mat_scale(ops, cf, bm)
-                    m = t if m is None else mx.mat_add(ops, m, t)
-            if m is None or not mx.is_invertible(ops, m):
+        for flat in mx.nonzero_span(ops, [sum(bm, ()) for bm in basis]):
+            m = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            if not mx.is_invertible(ops, m):
                 continue
             if G.spec.family == "U" and not G.is_rational(m):
                 continue
@@ -581,19 +559,12 @@ class TorusLevel:
         for m in elements:
             acc, cur = m, m
             for _ in range(nu - 1):
-                cur = self._base_frobenius(cur)
+                cur = G.frobenius(cur, q0)
                 acc = G.mul(acc, cur)
             k = G.key(acc)
             if k not in base_embedded:
                 raise IntegrityError("norm map left the base torus")
             self.norm_coords[G.key(m)] = base_embedded[k]
-
-    def _base_frobenius(self, m):
-        G = self.group
-        sig = mx.entrywise_pow(G.ops, m, self.base.q)
-        if G.spec.family == "GL":
-            return sig
-        return mx.transpose(mx.mat_inv(G.ops, sig))
 
     def norm(self, t):
         """N^nu(t) as an element of the base torus."""
@@ -603,12 +574,6 @@ class TorusLevel:
 @lru_cache(maxsize=None)
 def instantiate(cls: TorusClass, spec: GroupSpec) -> TorusInstance:
     return TorusInstance(cls, group(spec))
-
-
-def norm_map(T: TorusInstance, nu: int):
-    """The norm N^nu: T^{F^nu} -> T^F as an explicit map on enumerated points."""
-    level = T.level(nu)
-    return level
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ from dlperiods.groups import (
     ProductGroup,
     ProductSpec,
     centralizer_type,
-    conjugate_into,
     group,
     group_order,
-    nset,
 )
+from dlperiods.oracles import centralizer, conjugate_into, nset
 
 
 def G(family, n, q):
@@ -136,7 +135,7 @@ class TestCentralizerType:
                 x for x in g.elements() if g.is_semisimple(x) and len(centralizer_type(g, x).factors) == 1 and centralizer_type(g, x).factors[0].d == 2
             )
             assert centralizer_type(g, elt).order(q) == q * q - 1
-            assert len(g.centralizer(elt)) == q * q - 1
+            assert len(centralizer(g, elt)) == q * q - 1
 
     def test_central_in_u(self):
         g = G("U", 2, 2)
@@ -155,7 +154,7 @@ class TestCentralizerType:
                 continue
             seen.add(cid)
             ct = centralizer_type(g, elt)
-            assert ct.order(q) == len(g.centralizer(elt)), f"class of {elt}"
+            assert ct.order(q) == len(centralizer(g, elt)), f"class of {elt}"
 
 
 class TestScans:
