@@ -200,4 +200,4 @@ class RootOfUnitySum:
         self.vec[k % self.N] += weight
 
     def value(self) -> Cyclotomic:
-        return Cyclotomic(self.N, _reduce_mod_phi([Fraction(v) for v in self.vec], self.N))
+        return Cyclotomic(self.N, _reduce_mod_phi(self.vec, self.N))

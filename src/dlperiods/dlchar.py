@@ -12,12 +12,16 @@ transported unipotent in each centralizer factor) and multiplies the
 corresponding Green values.
 
 All caches are per torus level and independent of the character, so
-character sweeps reuse every scan.
+character sweeps reuse every scan; `Group.jordan` memoises (s, u) per
+element, and element orders take one power walk per cyclic subgroup.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import product as iproduct
+from math import gcd
 
 from . import matrixops as mx
 from .cyclotomic import Cyclotomic, RootOfUnitySum
@@ -34,28 +38,26 @@ from .tori import TorusCharacter, TorusInstance, TorusLevel
 
 
 def _element_order_multiset(mats, ops, cap):
-    from collections import Counter
-
+    """Element-order multiset, one power walk per cyclic subgroup: ord(m^i) = ord(m) / gcd(i, ord(m))."""
     ident = mx.mat_id(len(mats[0]))
-    out = Counter()
+    order = {}
     for m in mats:
-        acc, o = m, 1
-        while acc != ident:
-            acc = mx.mat_mul(ops, acc, m)
-            o += 1
-            if o > cap:
+        if m in order:
+            continue
+        powers = [m]
+        while powers[-1] != ident:
+            powers.append(mx.mat_mul(ops, powers[-1], m))
+            if len(powers) > cap:
                 raise IntegrityError("restricted torus element order ran past the cap")
-        out[o] += 1
-    return out
+        o = len(powers)
+        for i, x in enumerate(powers, 1):
+            order[x] = o // gcd(i, o)
+    return Counter(order[m] for m in mats)
 
 
 @lru_cache(maxsize=None)
 def _abstract_order_multiset(orders: tuple):
     """Element-order multiset of prod C_{o_i}."""
-    from collections import Counter
-    from itertools import product as iproduct
-    from math import gcd
-
     out = Counter()
     for tup in iproduct(*(range(o) for o in orders)):
         l = 1

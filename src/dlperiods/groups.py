@@ -86,6 +86,7 @@ class Group:
         self._elements = None
         self._index = None
         self._classes = None
+        self._jordan = {}
         self._gens = None
         self._use_bytes = self.field.q <= 256
 
@@ -204,7 +205,13 @@ class Group:
         return e
 
     def jordan(self, g):
-        """Unique commuting (semisimple, unipotent) factorization via CRT powers."""
+        """Unique commuting (semisimple, unipotent) factorization via CRT powers, memoised per key(g)."""
+        k = self.key(g)
+        if k not in self._jordan:
+            self._jordan[k] = self._jordan_uncached(g)
+        return self._jordan[k]
+
+    def _jordan_uncached(self, g):
         o = self.element_order(g)
         a = 0
         while o % self.p == 0:

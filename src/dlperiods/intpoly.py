@@ -106,7 +106,7 @@ def divmod(a: Poly, b: Poly, ring=_QQ):
     minus, times = ring.sub, ring.mul
     rem = list(trim(a))
     db = len(b) - 1
-    inv_lead = ring.inv(b[-1])
+    inv_lead = 1 if b[-1] == 1 else ring.inv(b[-1])
     quo = [0] * max(len(rem) - db, 0)
     while len(rem) - 1 >= db:
         c = times(rem[-1], inv_lead)

@@ -4,12 +4,26 @@ from fractions import Fraction
 import pytest
 
 from dlperiods.cyclotomic import Cyclotomic, cyclo
-from dlperiods.dlchar import ProductDL, dl_table, dl_value, engine, inner_product
+from dlperiods.dlchar import (
+    ProductDL,
+    _abstract_order_multiset,
+    _element_order_multiset,
+    dl_table,
+    dl_value,
+    engine,
+    inner_product,
+)
+from dlperiods.errors import IntegrityError
 from dlperiods.green import degree_poly
 from dlperiods.groups import GroupSpec, group
 from dlperiods.intpoly import evaluate as poly_eval
 from dlperiods.oracles import nset
-from dlperiods.tori import TorusCharacter, TorusClass, characters, instantiate
+from dlperiods.tori import TorusCharacter, TorusClass, characters, instantiate, torus_classes
+
+# every (family, n, q) whose torus classes all build
+CATALOGUE = [(f, n, q) for f in ("GL", "U") for n in (1, 2, 3) for q in (2, 3, 4, 5)] + [
+    (f, 4, q) for f in ("GL", "U") for q in (2, 3)
+]
 
 
 def torus(family, n, q, parts):
@@ -84,20 +98,31 @@ class TestPrincipalSeries:
 class TestDegreeLaw:
     # every torus class of the catalogue builds: odd-q unitary tori once
     # failed with "block generator not rational"
-    @pytest.mark.parametrize(
-        "family,n,q",
-        [(f, n, q) for f in ("GL", "U") for n in (1, 2, 3) for q in (2, 3, 4, 5)]
-        + [(f, 4, q) for f in ("GL", "U") for q in (2, 3)],
-    )
+    @pytest.mark.parametrize("family,n,q", CATALOGUE)
     def test_value_at_identity(self, family, n, q):
-        from dlperiods.tori import torus_classes
-
         for cls in torus_classes(family, n):
             t = instantiate(cls, GroupSpec(family, n, q))
             expect = poly_eval(degree_poly(family, n, cls.parts), q)
             for chi in characters(t)[:3]:
                 got = dl_value(t, chi, t.group.identity)
                 assert got == expect, (cls, chi, expect, got)
+
+
+class TestOrderMultiset:
+    @pytest.mark.parametrize("family,n,q", CATALOGUE)
+    def test_torus_matches_the_abstract_group(self, family, n, q):
+        for cls in torus_classes(family, n):
+            t = instantiate(cls, GroupSpec(family, n, q))
+            els = t.level(1).elements
+            got = _element_order_multiset(els, t.group.ops, cap=len(els) + 1)
+            assert got == _abstract_order_multiset(cls.cyclic_orders(q)), cls
+
+    def test_cap(self):
+        t = torus("GL", 4, 3, (4,))  # cyclic of order 80
+        els, ops = t.level(1).elements, t.group.ops
+        assert _element_order_multiset(els, ops, cap=80)[80] == 32
+        with pytest.raises(IntegrityError):
+            _element_order_multiset(els, ops, cap=79)
 
 
 class TestSmallTables:

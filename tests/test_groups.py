@@ -4,6 +4,7 @@ import pytest
 
 from dlperiods.errors import SizeCapError
 from dlperiods.groups import (
+    Group,
     GroupSpec,
     ProductGroup,
     ProductSpec,
@@ -112,6 +113,18 @@ class TestJordan:
                 u2 = g.mul(g.inv(s2), elt)
                 if g.is_unipotent(u2) and g.mul(s2, u2) == g.mul(u2, s2) == elt:
                     assert s2 == s and u2 == u
+
+    @pytest.mark.parametrize("family", ["GL", "U"])
+    def test_memo(self, family):
+        spec = GroupSpec(family, 2, 3)
+        g = group(spec)
+        fresh = Group(spec)  # bypasses the lru_cache in group(), so its memo starts empty
+        for elt in g.elements():
+            s, u = g.jordan(elt)
+            assert g.mul(s, u) == elt == g.mul(u, s)
+            assert g.is_semisimple(s) and g.is_unipotent(u)
+            assert g.jordan(elt) == (s, u)
+            assert fresh.jordan(elt) == (s, u)
 
     def test_jordan_types(self):
         g = G("GL", 3, 2)
